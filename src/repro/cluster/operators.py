@@ -69,7 +69,7 @@ class _ShardRuntime:
     __slots__ = (
         "_parent", "ctx", "use_indexes", "use_compiled", "use_batches",
         "use_fusion", "batch_size", "stats", "analyze", "observed",
-        "scan_cache", "tracer", "obs", "trace_id",
+        "tracer", "obs", "trace_id",
     )
 
     def __init__(self, parent: Any, ctx: Any, stats: dict[str, int]) -> None:
@@ -88,9 +88,6 @@ class _ShardRuntime:
         # Only non-None under ANALYZE, whose scatter runs sequentially —
         # so sharing the parent's dict across shard runtimes is safe.
         self.observed = getattr(parent, "observed", None)
-        # Scan blocks are shard-local: this runtime's ctx sees only one
-        # shard's data, so it must never share the parent's cache.
-        self.scan_cache: dict[str, list[Any]] = {}
         # The trace id rides into the worker so shard-local events can
         # correlate with the query's span tree; the tracer itself must
         # not — its span stack belongs to the query thread (workers fill
@@ -112,8 +109,8 @@ class _ShardRuntime:
 
 def _fresh_stats() -> dict[str, int]:
     return {
-        "index_lookups": 0, "range_lookups": 0, "scans": 0, "rows_scanned": 0,
-        "scan_cache_hits": 0,
+        "index_lookups": 0, "range_lookups": 0, "index_fallbacks": 0,
+        "scans": 0, "rows_scanned": 0,
     }
 
 

@@ -250,7 +250,9 @@ class _ShardReplica:
         if self._ctx is None:
             from repro.drivers.unified import UnifiedQueryContext
 
-            self._ctx = UnifiedQueryContext(self.db)
+            # Shard subplans only read; their rows cross the pipe as
+            # pickled copies, so the snapshot need not copy them again.
+            self._ctx = UnifiedQueryContext(self.db, copy_reads=False)
         return self._ctx
 
 

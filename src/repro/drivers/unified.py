@@ -17,11 +17,18 @@ from repro.drivers.base import Driver
 
 
 class UnifiedQueryContext:
-    """QueryContext over one read-only snapshot session."""
+    """QueryContext over one read-only snapshot session.
 
-    def __init__(self, db: MultiModelDatabase) -> None:
+    With ``copy_reads=False`` the context hands out the engine's own
+    committed values instead of copies: the query engine only reads
+    them, and :meth:`~repro.query.executor.Executor.execute` copies the
+    rows it returns.  Contexts given to other callers keep copying.
+    """
+
+    def __init__(self, db: MultiModelDatabase, copy_reads: bool = True) -> None:
         self.db = db
         self.session: Session = db.begin(IsolationLevel.SNAPSHOT)
+        self.session.txn.copy_reads = copy_reads
 
     def close(self) -> None:
         if self.session.txn.state.value == "active":
@@ -60,6 +67,11 @@ class UnifiedQueryContext:
     def index_lookup(
         self, collection: str, field: str, value: Any
     ) -> Iterable[Any] | None:
+        if value is None or isinstance(value, (list, dict)):
+            # Indexes never store null or container values (see
+            # engine.indexes.field_extractor), so they cannot answer an
+            # equality on one: report no usable index.
+            return None
         model = self._model_of(collection)
         if model is Model.RELATIONAL and field == "_id":
             # MMQL's DOCUMENT() uses "_id"; relational PK is the id column.
@@ -240,6 +252,9 @@ class UnifiedDriver(Driver):
 
     def query_context(self) -> UnifiedQueryContext:
         return UnifiedQueryContext(self.db)
+
+    def _execution_context(self) -> UnifiedQueryContext:
+        return UnifiedQueryContext(self.db, copy_reads=False)
 
     def catalog_epoch(self) -> int:
         return self.db.catalog_epoch

@@ -36,6 +36,11 @@ class Model(enum.Enum):
     KEY_VALUE = "key_value"
     SYSTEM = "system"
 
+    # Members are singletons compared by identity, so identity hashing
+    # agrees with equality; Enum's default hashes the name in Python
+    # code, and every RecordKey lookup pays for it.
+    __hash__ = object.__hash__
+
 
 class RecordKey(NamedTuple):
     """(model, collection, key) — the global address of one record."""
@@ -86,14 +91,15 @@ class VersionChain:
     versions: list[Version] = field(default_factory=list)
 
     def visible_at(self, ts: int) -> Version | None:
-        """The version a snapshot at *ts* sees (None = record unborn)."""
-        chosen: Version | None = None
-        for v in self.versions:
+        """The version a snapshot at *ts* sees (None = record unborn).
+
+        Searched newest first: snapshots mostly read recent state, so a
+        record updated many times costs one step, not one per version.
+        """
+        for v in reversed(self.versions):
             if v.begin_ts <= ts:
-                chosen = v
-            else:
-                break
-        return chosen
+                return v
+        return None
 
     def latest(self) -> Version | None:
         """The most recent committed version."""

@@ -97,7 +97,10 @@ class Store:
         else:
             latest = chain.latest()
             old_value = latest.value if latest is not None else None
-        chain.append(Version(ts, copy_value(value) if value is not None else None, txn_id))
+        # Shared, not copied: every caller passes an engine-owned value
+        # (the WAL's logged copy) that nothing mutates afterwards, and
+        # reads copy on the way out.
+        chain.append(Version(ts, value, txn_id))
         for hook in self.on_apply:
             hook(key, old_value, value)
 
@@ -142,7 +145,10 @@ class Transaction:
         self.state = TxnState.ACTIVE
         # Ordered write buffer: RecordKey -> new value (None = delete).
         self.write_set: dict[RecordKey, Any] = {}
-        self.read_set: set[RecordKey] = set()
+        # Reads hand out copies of committed values by default.  A query
+        # snapshot that never mutates what it reads turns this off and
+        # copies only the results it returns (Executor.execute).
+        self.copy_reads = True
         self.commit_ts: int | None = None
         # Global (cross-shard) transaction id, set when this txn becomes
         # a 2PC participant at prepare time.
@@ -158,7 +164,6 @@ class Transaction:
             return copy_value(value) if value is not None else None
         if self.isolation is IsolationLevel.SERIALIZABLE:
             self.manager.locks.acquire(self.txn_id, key, LockMode.SHARED)
-        self.read_set.add(key)
         if self.isolation is IsolationLevel.READ_UNCOMMITTED:
             dirty = self.manager.latest_dirty_write(key, exclude=self.txn_id)
             if dirty is not _MISSING:
@@ -169,7 +174,7 @@ class Transaction:
         version = chain.visible_at(self._read_ts())
         if version is None or version.value is None:
             return None
-        return copy_value(version.value)
+        return copy_value(version.value) if self.copy_reads else version.value
 
     def write(self, key: RecordKey, value: Any) -> None:
         """Buffer a write (value None = delete) in the private write set."""
@@ -181,11 +186,18 @@ class Transaction:
     def delete(self, key: RecordKey) -> None:
         self.write(key, None)
 
-    def scan(self, model: Model, collection: str) -> Iterator[tuple[Any, Any]]:
+    def scan(
+        self,
+        model: Model,
+        collection: str,
+        keys: Callable[[Any], bool] | None = None,
+    ) -> Iterator[tuple[Any, Any]]:
         """Yield (key, value) for every record visible in a collection.
 
         Own buffered writes overlay the committed state: additions appear,
-        deletions disappear, updates show the new value.
+        deletions disappear, updates show the new value.  *keys*, when
+        given, selects records by key before any visibility check or
+        copy, so a prefix or range scan pays only for what it returns.
         """
         self._check_active()
         if self.isolation is IsolationLevel.SERIALIZABLE:
@@ -200,6 +212,8 @@ class Transaction:
         )
         emitted: set[Any] = set()
         for raw_key, chain in list(coll.items()):
+            if keys is not None and not keys(raw_key):
+                continue
             record_key = RecordKey(model, collection, raw_key)
             if record_key in self.write_set:
                 continue  # handled by the overlay pass below
@@ -213,7 +227,9 @@ class Transaction:
             version = chain.visible_at(read_ts)
             if version is not None and version.value is not None:
                 emitted.add(raw_key)
-                yield raw_key, copy_value(version.value)
+                yield raw_key, (
+                    copy_value(version.value) if self.copy_reads else version.value
+                )
         if self.isolation is IsolationLevel.READ_UNCOMMITTED:
             # Dirty *inserts* by other active transactions have no chain
             # yet, so the committed pass above cannot surface them.
@@ -224,12 +240,13 @@ class Transaction:
                     record_key.key not in emitted
                     and record_key not in self.write_set
                     and record_key.key not in coll
+                    and (keys is None or keys(record_key.key))
                 ):
                     emitted.add(record_key.key)
                     yield record_key.key, copy_value(value)
         for record_key, value in list(self.write_set.items()):
             if record_key.model is model and record_key.collection == collection:
-                if value is not None:
+                if value is not None and (keys is None or keys(record_key.key)):
                     yield record_key.key, copy_value(value)
 
     def declare_insert(self, model: Model, collection: str) -> None:
@@ -321,7 +338,7 @@ class TransactionManager:
             self._prepared_overlap_check(txn)
         commit_ts = self.current_ts + 1
         for key, value in txn.write_set.items():
-            self.wal.log_write(txn.txn_id, key, value)
+            txn.write_set[key] = self.wal.log_write(txn.txn_id, key, value)
         if self.crash_before_next_commit_record:
             self.crash_before_next_commit_record = False
             self._finish_crashed(txn)
@@ -380,7 +397,7 @@ class TransactionManager:
                     f"txn {txn.txn_id}: cannot pin {key} at prepare: {exc}"
                 ) from exc
         for key, value in txn.write_set.items():
-            self.wal.log_write(txn.txn_id, key, value)
+            txn.write_set[key] = self.wal.log_write(txn.txn_id, key, value)
         self.wal.log_prepare(txn.txn_id, global_id)
         txn.state = TxnState.PREPARED
         txn.global_id = global_id

@@ -115,10 +115,12 @@ class WriteAheadLog:
     def log_begin(self, txn_id: int) -> None:
         self.append({"type": "begin", "txn": txn_id})
 
-    def log_write(self, txn_id: int, key: RecordKey, value: Any) -> None:
-        self.append(
-            {"type": "write", "txn": txn_id, "key": key, "value": copy_value(value)}
-        )
+    def log_write(self, txn_id: int, key: RecordKey, value: Any) -> Any:
+        """Log a copy of *value*; return the logged copy, which the
+        committing store may share (neither side mutates it)."""
+        logged = copy_value(value)
+        self.append({"type": "write", "txn": txn_id, "key": key, "value": logged})
+        return logged
 
     def log_commit(self, txn_id: int, commit_ts: int) -> None:
         self.append({"type": "commit", "txn": txn_id, "ts": commit_ts})
@@ -300,7 +302,7 @@ class WriteAheadLog:
         for txn_id in sorted(committed, key=lambda t: committed[t]):
             ts = committed[txn_id]
             for key, value in writes.get(txn_id, []):
-                yield ts, key, copy_value(value)
+                yield ts, key, value
 
     def ddl_records(self) -> list[dict[str, Any]]:
         """Every DDL record, oldest first — the *full* log, tail included.

@@ -35,9 +35,9 @@ from repro.obs.trace import Tracer
 _STAT_COUNTERS = {
     "index_lookups": "repro_exec_index_lookups_total",
     "range_lookups": "repro_exec_range_lookups_total",
+    "index_fallbacks": "repro_exec_index_fallbacks_total",
     "scans": "repro_exec_scans_total",
     "rows_scanned": "repro_exec_rows_scanned_total",
-    "scan_cache_hits": "repro_exec_scan_cache_hits_total",
     "shard_fanout": "repro_exec_shard_fanout_total",
 }
 

@@ -20,7 +20,9 @@ What remains here is the *runtime* the operators call back into:
   plan cache, keyed by the (value-hashable) Query AST; nothing is
   pinned by ``id()`` and equal subqueries share one plan.
 - ``stats`` — access-path counters (``index_lookups``, ``range_lookups``,
-  ``scans``, ``rows_scanned``) that the benchmarks and tests assert on.
+  ``index_fallbacks``, ``scans``, ``rows_scanned``) that the benchmarks
+  and tests assert on; ``index_fallbacks`` counts index access paths
+  that found no usable index and scanned (or hash-built) instead.
 - ``use_indexes`` — the E1 ablation switch; when off, index access paths
   degrade to scans at run time without replanning.
 """
@@ -29,6 +31,7 @@ from __future__ import annotations
 
 from typing import Any
 
+from repro.engine.records import copy_value
 from repro.errors import ExecutionError
 from repro.query import functions
 from repro.query.ast import (
@@ -106,14 +109,9 @@ class Executor:
         self.obs = None
         self.trace_id: int | None = None
         self.stats = {
-            "index_lookups": 0, "range_lookups": 0, "scans": 0, "rows_scanned": 0,
-            "scan_cache_hits": 0,
+            "index_lookups": 0, "range_lookups": 0, "index_fallbacks": 0,
+            "scans": 0, "rows_scanned": 0,
         }
-        # Batch-mode scan materialization: collection name -> the scanned
-        # block, so nested-loop inner scans re-serve one materialized
-        # pass instead of re-scanning the store per outer row.  Scoped to
-        # one top-level execute() — cleared there, shared by subqueries.
-        self.scan_cache: dict[str, list[Any]] = {}
         self.plans = plans if plans is not None else PlanCache(capacity=64)
         self.epoch = epoch
         # Per-executor memo in front of the shared cache for subqueries:
@@ -160,17 +158,14 @@ class Executor:
                 span.attrs["cached"] = self.plans.misses == misses
                 span.attrs["epoch"] = self.epoch
                 tracer.pop()
-        # Scan blocks are only valid within one query's snapshot: a
-        # reused executor must not serve a previous query's scans.
-        self.scan_cache.clear()
         run_params = dict(params) if params else {}
         if prepared.binds:
             run_params.update(prepared.binds)
         if tracer is None:
-            return self._drain(prepared.plan.root, run_params)
+            return _owned(self._drain(prepared.plan.root, run_params))
         span = tracer.push("execute")
         try:
-            result = self._drain(prepared.plan.root, run_params)
+            result = _owned(self._drain(prepared.plan.root, run_params))
             span.attrs["rows"] = len(result)
         finally:
             tracer.pop()
@@ -310,6 +305,12 @@ class Executor:
 
 def _truthy(value: Any) -> bool:
     return bool(value)
+
+
+def _owned(rows: list[Any]) -> list[Any]:
+    """Copies of result rows: a query context may hand the executor the
+    engine's own committed values, which callers must never mutate."""
+    return [copy_value(row) for row in rows]
 
 
 def run_query(

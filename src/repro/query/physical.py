@@ -12,6 +12,7 @@ Operator inventory (one class per shape of work):
 Operator           Role
 =================  ========================================================
 NestedLoopBind     FOR: bind a variable per item of an access path
+HashJoin           FOR…FILTER equi-join: build the inner FORs once, probe per row
 CollectionScan     access path: full scan of a named collection
 IndexEqLookup      access path: equality probe of a secondary index
 IndexRangeScan     access path: bounded scan of a sorted/B+tree index
@@ -50,15 +51,21 @@ Python-level loop.  The fusion pass (:func:`fuse_pipelines`) then
 collapses maximal straight-line chains of NestedLoopBind/Filter/Let/
 Project into one :class:`FusedPipeline` node whose per-batch closure
 chain eliminates the remaining operator hops and intermediate dict
-churn.  The per-binding ``run()`` streams stay live behind the
-executor's ``use_batches``/``use_fusion`` ablation flags, so the
-interpreter remains the differential oracle for every new path.
+churn.  Equi-joins run as build/probe hash joins in batch mode
+(:class:`HashJoin`, and :class:`IndexEqLookup` when it has no usable
+index), so an inner collection is scanned once per execution, not once
+per outer row.  The per-binding ``run()`` streams stay nested loops
+behind the executor's ``use_batches``/``use_fusion`` ablation flags, so
+the interpreter remains the differential oracle for every new path.
 
 Laziness caveat: batch execution evaluates up to one chunk of rows
 ahead of a LIMIT's cut-off, so a predicate that *errors* on a row the
 per-binding engine would never have pulled can surface the error — the
-standard vectorized-engine trade, bounded by the batch size.  Values
-and ordering are identical in all modes.
+standard vectorized-engine trade, bounded by the batch size.  A hash
+build reads its whole inner side before the first probe, so an error
+raised *while reading* the inner side (a FOR source that is not a list)
+surfaces before errors of rows the nested loop would have emitted
+first.  Values and ordering are identical in all modes.
 """
 
 from __future__ import annotations
@@ -213,40 +220,31 @@ class AccessPath:
         """Items in chunks of at most *size*; paths override for bulk stats."""
         yield from _chunks(self.items(rt, binding, params), size)
 
+    def open_batches(
+        self, rt: Any, params: dict[str, Any], size: int
+    ) -> Callable[[Binding], Iterator[list[Any]]]:
+        """A per-execution prober: outer binding -> chunks of items.
+
+        Batch-mode binds open the path once per run and probe it per
+        outer binding, so a path may keep state for one execution (the
+        hash fallback of :class:`IndexEqLookup`).
+        """
+
+        def probe(binding: Binding) -> Iterator[list[Any]]:
+            return self.batches(rt, binding, params, size)
+
+        return probe
+
     def describe(self) -> str:
         raise NotImplementedError
 
 
 def _scan_batches(rt: Any, collection: str, size: int) -> Iterator[list[Any]]:
-    """Full-scan fallback emitting chunks, counting stats per chunk.
-
-    Batch mode additionally *materializes* each collection scan once per
-    query (``rt.scan_cache``) and serves repeated scans of the same
-    collection from the cached block: the inner scan of a nested loop
-    costs one pass over the store instead of one pass per outer row.
-    The snapshot is immutable for the duration of a query and MMQL
-    operators never mutate source documents, so re-serving the same
-    block (sharing, not re-copying, the document dicts) is safe.  A scan
-    abandoned early — e.g. cut off by LIMIT — is never cached.  ``scans``
-    and ``rows_scanned`` keep counting actual store traffic only;
-    ``scan_cache_hits`` counts the re-uses, so EXPLAIN ANALYZE shows the
-    saving directly.  The per-binding ``run()`` path (the E14 baseline)
-    has no cache and re-scans per pull.
-    """
-    cache = getattr(rt, "scan_cache", None)
-    docs = cache.get(collection) if cache is not None else None
-    if docs is not None:
-        rt.stats["scan_cache_hits"] = rt.stats.get("scan_cache_hits", 0) + 1
-        yield from _chunks(docs, size)
-        return
+    """Full-scan fallback emitting chunks, counting stats per chunk."""
     rt.stats["scans"] += 1
-    block: list[Any] = []
     for chunk in _chunks(rt.ctx.iter_collection(collection), size):
         rt.stats["rows_scanned"] += len(chunk)
-        block.extend(chunk)
         yield chunk
-    if cache is not None:
-        cache[collection] = block
 
 
 def _shadowed_list(source_name: str, binding: Binding) -> list[Any] | None:
@@ -260,6 +258,63 @@ def _shadowed_list(source_name: str, binding: Binding) -> list[Any] | None:
             )
         return value
     return None
+
+
+# A probe key that failed to evaluate: every row is a candidate and the
+# residual FILTER raises exactly where the nested loop would.
+UNKEYED = object()
+
+
+class JoinTable:
+    """The build side of an equi-join: rows bucketed by key, in build order.
+
+    Keys follow MMQL ``==``, which is Python ``==``.  Hashable keys
+    bucket by their raw value, so ``1``, ``1.0`` and ``true`` share a
+    bucket exactly as they compare equal, and ``"1"`` does not.  NaN
+    never matches, not even the same NaN object (a dict lookup would
+    match it by identity).  Unhashable keys (lists, objects) live in a
+    side list compared with ``==``; they can only equal each other.
+    A key that fails to evaluate makes the table *keyless*: every probe
+    then returns every row, and the residual FILTER the planner keeps
+    decides (and raises) exactly as the nested loop would.  Each bucket
+    keeps build order, so a probe yields its matches in nested-loop
+    order.
+    """
+
+    __slots__ = ("buckets", "unhashable", "rows", "keyless")
+
+    def __init__(self) -> None:
+        self.buckets: dict[Any, list[Any]] = {}
+        self.unhashable: list[tuple[Any, Any]] = []
+        self.rows: list[Any] = []
+        self.keyless = False
+
+    def add(self, key: Any, row: Any) -> None:
+        self.rows.append(row)
+        if isinstance(key, float) and key != key:
+            return  # NaN: no bucket, so no probe (not even NaN) finds it
+        try:
+            bucket = self.buckets.get(key)
+        except TypeError:
+            self.unhashable.append((key, row))
+            return
+        if bucket is None:
+            self.buckets[key] = [row]
+        else:
+            bucket.append(row)
+
+    def add_unkeyed(self, row: Any) -> None:
+        """A row whose key failed to evaluate: the table turns keyless."""
+        self.keyless = True
+        self.rows.append(row)
+
+    def probe(self, key: Any) -> list[Any]:
+        if self.keyless or key is UNKEYED:
+            return self.rows
+        try:
+            return self.buckets.get(key, [])
+        except TypeError:
+            return [row for other, row in self.unhashable if other == key]
 
 
 @dataclass(frozen=True)
@@ -291,11 +346,16 @@ class CollectionScan(AccessPath):
 
 @dataclass(frozen=True)
 class IndexEqLookup(AccessPath):
-    """Equality probe of a secondary index; falls back to a scan.
+    """Equality probe of a secondary index; falls back without one.
 
     The context decides at run time whether a usable index exists
     (``index_lookup`` returning None means no), so the same plan runs on
-    indexed and unindexed stores — the E1 ablation flips ``use_indexes``.
+    indexed and unindexed stores.  A missing index counts in
+    ``index_fallbacks``; the per-row ``items`` then re-scans the
+    collection, while the batch prober scans it once per execution into
+    a :class:`JoinTable` keyed by *field* and probes that, so it binds
+    only the rows an index would have returned.  ``use_indexes=False``
+    (the E1 ablation: no index access at all) scans per probe in both.
     """
 
     collection: str
@@ -304,6 +364,12 @@ class IndexEqLookup(AccessPath):
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "_c_key", compile_expr(self.key_expr))
+        # The build side reads the indexed field with MMQL field access,
+        # from a binding that holds just the document.
+        path: Expr = VarRef("")
+        for part in self.field.split("."):
+            path = FieldAccess(path, part)
+        object.__setattr__(self, "_c_field", compile_expr(path))
 
     def items(self, rt: Any, binding: Binding, params: dict[str, Any]) -> Iterator[Any]:
         shadowed = _shadowed_list(self.collection, binding)
@@ -317,24 +383,48 @@ class IndexEqLookup(AccessPath):
                 rt.stats["index_lookups"] += 1
                 yield from matches
                 return
+            rt.stats["index_fallbacks"] += 1
         rt.stats["scans"] += 1
         for item in rt.ctx.iter_collection(self.collection):
             rt.stats["rows_scanned"] += 1
             yield item
 
     def batches(self, rt, binding, params, size):
-        shadowed = _shadowed_list(self.collection, binding)
-        if shadowed is not None:
-            yield from _chunks(shadowed, size)
-            return
-        if rt.use_indexes:
-            key = evaluator(rt, self._c_key, self.key_expr)(rt, binding, params)
+        return self.open_batches(rt, params, size)(binding)
+
+    def open_batches(self, rt, params, size):
+        key_of = evaluator(rt, self._c_key, self.key_expr)
+        table: JoinTable | None = None
+
+        def probe(binding: Binding) -> Iterator[list[Any]]:
+            nonlocal table
+            shadowed = _shadowed_list(self.collection, binding)
+            if shadowed is not None:
+                return _chunks(shadowed, size)
+            if not rt.use_indexes:
+                return _scan_batches(rt, self.collection, size)
+            key = key_of(rt, binding, params)
             matches = rt.ctx.index_lookup(self.collection, self.field, key)
             if matches is not None:
                 rt.stats["index_lookups"] += 1
-                yield from _chunks(matches, size)
-                return
-        yield from _scan_batches(rt, self.collection, size)
+                return _chunks(matches, size)
+            rt.stats["index_fallbacks"] += 1
+            if table is None:
+                table = self._build(rt, params, size)
+            return _chunks(table.probe(key), size)
+
+        return probe
+
+    def _build(self, rt: Any, params: dict[str, Any], size: int) -> JoinTable:
+        table = JoinTable()
+        field_of = self._c_field
+        for chunk in _scan_batches(rt, self.collection, size):
+            for doc in chunk:
+                try:
+                    table.add(field_of(rt, {"": doc}, params), doc)
+                except ExecutionError:
+                    table.add_unkeyed(doc)
+        return table
 
     def describe(self) -> str:
         return (
@@ -349,8 +439,9 @@ class IndexRangeScan(AccessPath):
 
     Either bound may be None (open); inclusivity mirrors the comparison
     operators the planner matched.  Contexts without ``range_lookup``
-    (or without a sorted index on the field) scan — the residual FILTER
-    keeps the answer exact either way.
+    (or without a sorted index on the field) scan, counted in
+    ``index_fallbacks`` — the residual FILTER keeps the answer exact
+    either way.
     """
 
     collection: str
@@ -375,24 +466,10 @@ class IndexRangeScan(AccessPath):
         if shadowed is not None:
             yield from shadowed
             return
-        range_lookup = getattr(rt.ctx, "range_lookup", None)
-        if rt.use_indexes and range_lookup is not None:
-            low = (
-                evaluator(rt, self._c_low, self.low_expr)(rt, binding, params)
-                if self.low_expr is not None else None
-            )
-            high = (
-                evaluator(rt, self._c_high, self.high_expr)(rt, binding, params)
-                if self.high_expr is not None else None
-            )
-            matches = range_lookup(
-                self.collection, self.field,
-                low, high, self.include_low, self.include_high,
-            )
-            if matches is not None:
-                rt.stats["range_lookups"] += 1
-                yield from matches
-                return
+        matches = self._lookup(rt, binding, params)
+        if matches is not None:
+            yield from matches
+            return
         rt.stats["scans"] += 1
         for item in rt.ctx.iter_collection(self.collection):
             rt.stats["rows_scanned"] += 1
@@ -403,8 +480,19 @@ class IndexRangeScan(AccessPath):
         if shadowed is not None:
             yield from _chunks(shadowed, size)
             return
+        matches = self._lookup(rt, binding, params)
+        if matches is not None:
+            yield from _chunks(matches, size)
+            return
+        yield from _scan_batches(rt, self.collection, size)
+
+    def _lookup(self, rt: Any, binding: Binding, params: dict[str, Any]) -> Any:
+        """The range index's matches; None (a scan follows) when indexes
+        are off or no usable index exists, the latter counted."""
+        if not rt.use_indexes:
+            return None
         range_lookup = getattr(rt.ctx, "range_lookup", None)
-        if rt.use_indexes and range_lookup is not None:
+        if range_lookup is not None:
             low = (
                 evaluator(rt, self._c_low, self.low_expr)(rt, binding, params)
                 if self.low_expr is not None else None
@@ -419,9 +507,9 @@ class IndexRangeScan(AccessPath):
             )
             if matches is not None:
                 rt.stats["range_lookups"] += 1
-                yield from _chunks(matches, size)
-                return
-        yield from _scan_batches(rt, self.collection, size)
+                return matches
+        rt.stats["index_fallbacks"] += 1
+        return None
 
     def describe(self) -> str:
         bounds = []
@@ -554,12 +642,12 @@ class NestedLoopBind(PhysicalOperator):
     def run_batches(self, rt, params, seed=None):
         size = batch_size(rt)
         var = self.var
-        access = self.access
+        probe = self.access.open_batches(rt, params, size)
         out: list[Binding] = []
         append = out.append
         for batch in self._input_batches(rt, params, seed):
             for binding in batch:
-                for chunk in access.batches(rt, binding, params, size):
+                for chunk in probe(binding):
                     for item in chunk:
                         extended = dict(binding)
                         extended[var] = item
@@ -573,6 +661,109 @@ class NestedLoopBind(PhysicalOperator):
 
     def label(self) -> str:
         return f"NestedLoopBind {self.var}: {self.access.describe()}"
+
+
+def _bind_chain(
+    block_vars: tuple[str, ...],
+    sources: tuple[AccessPath, ...],
+    child: PhysicalOperator | None,
+) -> PhysicalOperator | None:
+    node = child
+    for var, access in zip(block_vars, sources):
+        node = NestedLoopBind(var, access, node)
+    return node
+
+
+@dataclass(frozen=True)
+class HashJoin(PhysicalOperator):
+    """FOR…FILTER equi-join: build the inner FORs once, probe per binding.
+
+    The inner *block* is ``FOR block_vars[0] IN sources[0]`` plus the
+    FORs nested under it (``FOR it IN o.items``); no source reads an
+    outer variable.  Batch mode binds the block once per execution —
+    lazily, when the first outer binding arrives — into a
+    :class:`JoinTable` keyed by *build_key* (block variables only), then
+    probes it with *probe_key* (outer variables only) per outer binding.
+    Buckets keep build order, so every outer binding is extended with its
+    matches in exactly the nested loop's order.  The planner keeps the
+    join FILTER above this operator as the residual predicate.  The
+    per-row ``run()`` stays the nested loop it replaces, so the per-row
+    engine remains the differential oracle.
+    """
+
+    block_vars: tuple[str, ...]
+    sources: tuple[AccessPath, ...]
+    build_key: Expr
+    probe_key: Expr
+    child: PhysicalOperator | None = None
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_c_build", compile_expr(self.build_key))
+        object.__setattr__(self, "_c_probe", compile_expr(self.probe_key))
+        object.__setattr__(
+            self, "_block", _bind_chain(self.block_vars, self.sources, None)
+        )
+        object.__setattr__(
+            self, "_nested", _bind_chain(self.block_vars, self.sources, self.child)
+        )
+
+    def run(self, rt, params, seed=None):
+        return self._nested.run(rt, params, seed)
+
+    def run_batches(self, rt, params, seed=None):
+        size = batch_size(rt)
+        probe_key = evaluator(rt, self._c_probe, self.probe_key)
+        observed = getattr(rt, "observed", None)
+        slot = None
+        table: JoinTable | None = None
+        out: list[Binding] = []
+        append = out.append
+        for batch in self._input_batches(rt, params, seed):
+            if table is None:
+                table = self._build(rt, params, batch[0])
+                if observed is not None:
+                    slot = observed.setdefault(id(self), {"build_rows": 0, "probes": 0})
+                    slot["build_rows"] += len(table.rows)
+            if slot is not None:
+                slot["probes"] += len(batch)
+            for binding in batch:
+                try:
+                    key = probe_key(rt, binding, params)
+                except ExecutionError:
+                    key = UNKEYED
+                for row in table.probe(key):
+                    extended = dict(binding)
+                    extended.update(row)
+                    append(extended)
+                if len(out) >= size:
+                    yield out
+                    out = []
+                    append = out.append
+        if out:
+            yield out
+
+    def _build(self, rt: Any, params: dict[str, Any], outer: Binding) -> JoinTable:
+        """Bind the inner block once; seeded with the first outer binding
+        so a collection name shadowed by the query's seed resolves as in
+        the nested loop (the block reads no other outer variable)."""
+        build_key = evaluator(rt, self._c_build, self.build_key)
+        block_vars = self.block_vars
+        table = JoinTable()
+        for batch in self._block.run_batches(rt, params, outer):
+            for binding in batch:
+                row = {var: binding[var] for var in block_vars}
+                try:
+                    table.add(build_key(rt, binding, params), row)
+                except ExecutionError:
+                    table.add_unkeyed(row)
+        return table
+
+    def label(self) -> str:
+        build = " → ".join(access.describe() for access in self.sources)
+        return (
+            f"HashJoin {', '.join(self.block_vars)} [build: {build} "
+            f"on {render_expr(self.build_key)}; probe: {render_expr(self.probe_key)}]"
+        )
 
 
 @dataclass(frozen=True)
@@ -1184,12 +1375,11 @@ def _fused_step(
 
         return let_copy_step
     if isinstance(op, NestedLoopBind):
-        access = op.access
+        probe = op.access.open_batches(rt, params, batch_size(rt))
         bind_var = op.var
-        size = batch_size(rt)
 
         def bind_step(binding: Binding) -> None:
-            for chunk in access.batches(rt, binding, params, size):
+            for chunk in probe(binding):
                 for item in chunk:
                     extended = dict(binding)
                     extended[bind_var] = item

@@ -20,9 +20,22 @@ bindings through.  The contract:
    The chosen path is advisory: the executor falls back to a scan when
    the context has no matching index, and the original predicates remain
    as residual filters, so over-approximating access paths stay correct.
-4. **TopK fusion** — SORT immediately followed by LIMIT becomes a single
+4. **Hash equi-join** — ``FOR x IN <collection> [FOR y IN x.path …]``
+   (or a FOR over a closed list expression) followed by ``FILTER inner
+   == outer`` lowers to one :class:`~repro.query.physical.HashJoin` when
+   the inner side reads only the block's own variables, the outer side
+   reads only (at least one) already-bound variables, no block source
+   reads an outer variable and the first FOR carries no index hint (an
+   indexed probe stays an IndexEqLookup, whose no-index fallback is a
+   hash build of its own).  Both sides must be cheap.  The block is built once
+   per execution and probed per outer binding; keys compare with MMQL
+   ``==`` (Python ``==``: ``1``, ``1.0`` and ``true`` match each other,
+   ``"1"`` matches none of them, NaN matches nothing, lists and objects
+   compare by value), and the FILTER stays in place as the residual
+   predicate.
+5. **TopK fusion** — SORT immediately followed by LIMIT becomes a single
    bounded-heap TopK operator instead of a full materialising sort.
-5. **Operator fusion** — after sharding, maximal straight-line chains of
+6. **Operator fusion** — after sharding, maximal straight-line chains of
    bind/filter/let/project collapse into :class:`FusedPipeline` nodes
    (:func:`repro.query.physical.fuse_pipelines`) whose per-batch closure
    chains drop the remaining per-row operator hops.
@@ -67,9 +80,11 @@ from repro.query.ast import (
     ReturnClause,
     SortClause,
     SortKey,
+    Subquery,
     Unary,
     VarRef,
     free_variables,
+    walk_expr,
 )
 from repro.query.physical import (
     AccessPath,
@@ -77,6 +92,7 @@ from repro.query.physical import (
     ExpressionSource,
     Filter,
     HashAggregate,
+    HashJoin,
     IndexEqLookup,
     IndexRangeScan,
     Let,
@@ -538,7 +554,7 @@ def _flip(op: str) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Rule 4 + lowering — physical operator tree (with SORT+LIMIT fusion)
+# Rules 4 + 5 + lowering — physical operator tree (hash joins, TopK fusion)
 # ---------------------------------------------------------------------------
 
 
@@ -550,6 +566,26 @@ def _lower(query: Query, notes: list[str]) -> PhysicalOperator:
     while i < len(clauses):
         clause = clauses[i]
         if isinstance(clause, ForClause):
+            join = _match_hash_join(clauses, i, bound)
+            if join is not None:
+                block, build_key, probe_key = join
+                block_vars: set[str] = set()
+                sources = []
+                for bind in block:
+                    sources.append(_access_path(bind, bound | block_vars))
+                    block_vars.add(bind.var)
+                node = HashJoin(
+                    tuple(bind.var for bind in block), tuple(sources),
+                    build_key, probe_key, node,
+                )
+                notes.append(
+                    f"hash join: FOR {', '.join(bind.var for bind in block)} "
+                    f"built once on {render_expr(build_key)}, "
+                    f"probed with {render_expr(probe_key)}"
+                )
+                bound |= block_vars
+                i += len(block)
+                continue
             node = NestedLoopBind(clause.var, _access_path(clause, bound), node)
             bound.add(clause.var)
         elif isinstance(clause, FilterClause):
@@ -579,6 +615,69 @@ def _lower(query: Query, notes: list[str]) -> PhysicalOperator:
             raise AssertionError(f"unknown clause {type(clause).__name__}")
         i += 1
     return Project(query.returning, node)
+
+
+def _match_hash_join(
+    clauses: tuple[Clause, ...], for_index: int, bound: set[str]
+) -> tuple[list[ForClause], Expr, Expr] | None:
+    """The inner block and (build, probe) keys of an equi-join, or None.
+
+    The block is the FOR at *for_index* plus the FORs directly nested
+    under it whose sources read only block variables; the join predicate
+    is the first FILTER right after the block of the form ``inner ==
+    outer`` (either order), inner over block variables only, outer over
+    already-bound variables only.
+    """
+    first = clauses[for_index]
+    assert isinstance(first, ForClause)
+    if not bound or first.index_hint is not None or first.range_hint is not None:
+        return None
+    source = first.source
+    if isinstance(source, VarRef):
+        if source.name in bound:
+            return None  # a bound list: the block would read an outer variable
+    elif free_variables(source) or not _is_static(source):
+        return None
+    block = [first]
+    block_vars = {first.var}
+    j = for_index + 1
+    while j < len(clauses):
+        nested = clauses[j]
+        if not isinstance(nested, ForClause):
+            break
+        reads = free_variables(nested.source)
+        if not reads or not reads <= block_vars or not _is_static(nested.source):
+            break
+        block.append(nested)
+        block_vars.add(nested.var)
+        j += 1
+    if block_vars & bound or len(block_vars) < len(block):
+        return None  # shadowing: the residual FILTER's names would be ambiguous
+    while j < len(clauses) and isinstance(clauses[j], FilterClause):
+        condition = clauses[j].condition
+        if isinstance(condition, Binary) and condition.op == "==":
+            for inner, outer in (
+                (condition.left, condition.right),
+                (condition.right, condition.left),
+            ):
+                inner_reads = free_variables(inner)
+                outer_reads = free_variables(outer)
+                if (
+                    inner_reads and inner_reads <= block_vars
+                    and outer_reads and outer_reads <= bound
+                    and _is_cheap(inner) and _is_cheap(outer)
+                ):
+                    return block, inner, outer
+        j += 1
+    return None
+
+
+def _is_static(expr: Expr) -> bool:
+    """No builtin calls or subqueries: evaluating the expression once per
+    execution instead of once per outer binding cannot change anything."""
+    return not any(
+        isinstance(node, (FunctionCall, Subquery)) for node in walk_expr(expr)
+    )
 
 
 def _access_path(clause: ForClause, bound: set[str]) -> AccessPath:

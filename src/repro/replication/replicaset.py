@@ -41,7 +41,7 @@ from time import perf_counter
 from typing import Any, Callable
 
 from repro.engine.database import MultiModelDatabase
-from repro.engine.records import Model, RecordKey, copy_value
+from repro.engine.records import Model, RecordKey
 from repro.engine.transactions import Store, TransactionManager
 from repro.engine.wal import WriteAheadLog
 from repro.errors import ClusterError, QuorumLostError
@@ -250,7 +250,7 @@ class ReplicaSet:
     def _apply_commit(self, follower: Replica, txn_id: int, ts: int) -> None:
         db = follower.db
         for key, value in follower.pending.pop(txn_id, ()):
-            db.store.apply_committed_write(ts, key, copy_value(value), txn_id=0)
+            db.store.apply_committed_write(ts, key, value, txn_id=0)
             if key.model is Model.GRAPH_EDGE and isinstance(key.key, int):
                 db._next_edge_id = max(db._next_edge_id, key.key + 1)
         if ts > follower.applied_ts:

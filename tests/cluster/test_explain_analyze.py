@@ -76,7 +76,7 @@ class TestUnifiedAnalyze:
         assert keys == sorted(keys)
         for key in (
             "index_lookups", "range_lookups", "scans",
-            "rows_scanned", "scan_cache_hits",
+            "rows_scanned", "index_fallbacks",
         ):
             assert f"{key}=" in stats_line
 

@@ -5,7 +5,10 @@
 file proves the same queries stay identical when the plan gains a
 ShardExec gather — on a degenerate 1-shard cluster and a 4-shard
 cluster — so batch shipping through the scatter/gather cannot reorder,
-drop, or duplicate rows.
+drop, or duplicate rows.  The hash-join column runs Q7 and the
+mixed-type key joins of ``tests/query/test_hash_join.py`` on 1, 2 and 4
+shards over both pools and on 3-replica shards read with a session
+token, against the unified store.
 """
 
 from __future__ import annotations
@@ -156,3 +159,124 @@ def test_routed_single_shard_forwards_batches_untouched():
     ]
     assert forwarded == produced and len(produced) >= 1
     db.close()
+
+
+# -- hash equi-join column: Q7 and mixed-type keys on every topology ----------
+
+# The join shapes of tests/query/test_hash_join.py, sorted so that shard
+# order cannot matter: the Q7-style HashJoin over an unnested block and
+# the IndexEqLookup whose missing index falls back to a hash build.
+_MIXED_JOINS = (
+    "FOR l IN lhs FOR r IN rhs FOR it IN r.items FILTER it.k == l.k "
+    "SORT l._id, r._id RETURN [l._id, r._id, it.k]",
+    "FOR l IN lhs FOR r IN rhs FILTER r.k == l.k "
+    "SORT l._id, r._id RETURN [l._id, r._id, r.k]",
+)
+
+_TOPOLOGIES = [
+    (1, "threads", False), (2, "threads", False), (4, "threads", False),
+    (1, "processes", False), (2, "processes", False), (4, "processes", False),
+    (2, "threads", True),
+]
+
+
+def _load_mixed_keys(driver):
+    from tests.query.test_hash_join import KEYS, _doc
+
+    driver.create_collection("lhs")
+    driver.create_collection("rhs")
+
+    def body(s):
+        for i, key in enumerate(KEYS):
+            s.doc_insert("lhs", _doc(i, key))
+            s.doc_insert("rhs", _doc(i, key, with_items=True))
+
+    driver.run_transaction(body)
+
+
+@pytest.fixture(scope="module")
+def joined_unified(small_dataset):
+    from repro.datagen.load import load_dataset
+    from repro.drivers.unified import UnifiedDriver
+
+    driver = UnifiedDriver()
+    load_dataset(driver, small_dataset)
+    _load_mixed_keys(driver)
+    return driver
+
+
+@pytest.fixture(
+    scope="module", params=_TOPOLOGIES,
+    ids=lambda t: f"{t[0]}shard-{t[1]}" + ("-3replicas-session" if t[2] else ""),
+)
+def joined_cluster(request, small_dataset):
+    """A cluster holding the dataset plus the mixed-key collections;
+    replicated topologies read through a session token (follower reads)."""
+    from repro.cluster.sharded import ShardedDatabase
+    from repro.datagen.load import load_dataset
+    from repro.replication.replicaset import ReplicaSetConfig
+
+    n_shards, pool, replicated = request.param
+    replication = (
+        ReplicaSetConfig(3, write_acks="majority", read_preference="session")
+        if replicated else None
+    )
+    driver = ShardedDatabase(n_shards=n_shards, pool=pool, replication=replication)
+    load_dataset(driver, small_dataset)
+    _load_mixed_keys(driver)
+    token = driver.session_token() if replicated else None
+    yield driver, token
+    driver.close()
+
+
+# The one key whose equality rests on object identity: a list holding
+# the very NaN object the other side's list holds (Python's list ==
+# short-cuts on identity).  Rows a worker process pickles back carry a
+# fresh NaN, so this pair cannot survive a multi-shard process scatter —
+# pinned separately below as a known divergence.
+_IDENTITY_KEY_ID = 18
+
+
+def _crosses_processes(driver) -> bool:
+    return driver.pool_mode == "processes" and driver.n_shards > 1
+
+
+@pytest.mark.parametrize("case", ["Q7", "join-unnest", "join-fallback"])
+def test_hash_joins_match_the_unified_store(
+    joined_cluster, joined_unified, small_dataset, case
+):
+    driver, token = joined_cluster
+    if case == "Q7":
+        from repro.core.workloads import QUERY_BY_ID
+
+        text, params = QUERY_BY_ID["Q7"].text, QUERY_BY_ID["Q7"].params(small_dataset)
+    else:
+        text, params = _MIXED_JOINS[case == "join-fallback"], None
+    expected = joined_unified.query(text, params)
+    extra = {"session": token} if token is not None else {}
+    batched = driver.query(text, params, **extra)
+    per_row = driver.query(text, params, use_batches=False, **extra)
+    if case != "Q7" and _crosses_processes(driver):
+        expected = [row for row in expected if row[0] != _IDENTITY_KEY_ID]
+        batched = [row for row in batched if row[0] != _IDENTITY_KEY_ID]
+        per_row = [row for row in per_row if row[0] != _IDENTITY_KEY_ID]
+    assert repr(batched) == repr(expected)
+    # The per-row nested loop agrees on the cluster too.
+    assert repr(per_row) == repr(expected)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="NaN object identity is lost when rows are pickled back from "
+    "worker processes, so [nan] == [nan] differs from the unified store",
+)
+def test_shared_nan_list_survives_the_process_boundary(joined_unified):
+    from repro.cluster.sharded import ShardedDatabase
+
+    driver = ShardedDatabase(n_shards=2, pool="processes")
+    try:
+        _load_mixed_keys(driver)
+        text = _MIXED_JOINS[1]
+        assert repr(driver.query(text)) == repr(joined_unified.query(text))
+    finally:
+        driver.close()

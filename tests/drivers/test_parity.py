@@ -55,6 +55,36 @@ class TestQueryParity:
             assert out, f"{query.query_id} returned nothing"
 
 
+class TestResultOwnership:
+    """Query snapshots read the engine's committed values without copying;
+    the rows a query returns must still be the caller's own copies."""
+
+    @pytest.mark.parametrize("shards", [None, 2], ids=["unified", "sharded"])
+    def test_mutating_results_leaves_the_store_intact(self, small_dataset, shards):
+        from repro.cluster.sharded import ShardedDatabase
+        from repro.datagen.load import load_dataset
+
+        driver = UnifiedDriver() if shards is None else ShardedDatabase(n_shards=shards)
+        load_dataset(driver, small_dataset)
+        order_id = small_dataset.orders[0]["_id"]
+        text = (
+            "FOR o IN orders FILTER o._id == @id "
+            "RETURN {o, doc: DOCUMENT('orders', o._id)}"
+        )
+        before = driver.query(text, {"id": order_id})
+        for row in driver.query(text, {"id": order_id}):
+            for doc in (row["o"], row["doc"]):
+                doc["status"] = "mutated"
+                doc["items"][0]["amount"] = -1
+        scanned = driver.query("FOR o IN orders RETURN o")
+        for doc in scanned:
+            doc["items"].clear()
+        assert driver.query(text, {"id": order_id}) == before
+        assert all(o["items"] for o in driver.query("FOR o IN orders RETURN o"))
+        if shards is not None:
+            driver.close()
+
+
 class TestTransactionParity:
     def body(self, order_id: str):
         def run(s):

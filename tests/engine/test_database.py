@@ -155,6 +155,31 @@ class TestXmlKvSession:
         with db.transaction() as tx:
             assert [k for k, _ in tx.kv_scan_prefix("kv", "a/")] == ["a/1", "a/2"]
 
+    def test_kv_prefix_scan_overlays_own_writes_and_copies_only_matches(
+        self, db, monkeypatch
+    ):
+        from repro.engine import transactions
+
+        with db.transaction() as tx:
+            for k in ["b/2", "a/1", "a/2", "c/1"]:
+                tx.kv_put("kv", k, {"v": k})
+        copied = []
+        real_copy = transactions.copy_value
+
+        def counting_copy(value):
+            copied.append(value)
+            return real_copy(value)
+
+        monkeypatch.setattr(transactions, "copy_value", counting_copy)
+        with db.transaction() as tx:
+            tx.kv_put("kv", "a/3", {"v": "a/3"})
+            tx.kv_put("kv", "b/9", {"v": "b/9"})
+            tx.kv_delete("kv", "a/1")
+            copied.clear()
+            pairs = tx.kv_scan_prefix("kv", "a/")
+            assert [k for k, _ in pairs] == ["a/2", "a/3"]
+            assert sorted(v["v"] for v in copied) == ["a/2", "a/3"]
+
     def test_kv_requires_string_key(self, db):
         with db.transaction() as tx:
             with pytest.raises(Exception):
