@@ -250,9 +250,7 @@ class _ShardReplica:
         if self._ctx is None:
             from repro.drivers.unified import UnifiedQueryContext
 
-            # Shard subplans only read; their rows cross the pipe as
-            # pickled copies, so the snapshot need not copy them again.
-            self._ctx = UnifiedQueryContext(self.db, copy_reads=False)
+            self._ctx = UnifiedQueryContext(self.db)
         return self._ctx
 
 

@@ -524,7 +524,7 @@ class ShardedDatabase(Driver):
         cluster's configured ``read_preference``.
         """
         return self._execute_on(
-            ShardedQueryContext(self, session=session, copy_reads=False), text, params,
+            ShardedQueryContext(self, session=session), text, params,
             use_indexes, use_compiled, use_batches, use_fusion, batch_size,
         )
 
@@ -1303,16 +1303,11 @@ class ShardedQueryContext:
     """
 
     def __init__(
-        self,
-        db: ShardedDatabase,
-        session: ClusterSessionToken | None = None,
-        copy_reads: bool = True,
+        self, db: ShardedDatabase, session: ClusterSessionToken | None = None
     ) -> None:
         self.db = db
         self.catalog = db.router
         self._token = session
-        # Passed to every shard snapshot (see UnifiedQueryContext).
-        self._copy_reads = copy_reads
         self._contexts: list[UnifiedQueryContext | None] = [None] * db.n_shards
         # The lock each open context's lifecycle is serialised under:
         # the cluster's per-shard lock for a leader snapshot, the
@@ -1349,7 +1344,7 @@ class ShardedQueryContext:
         if not sets:
             lock = self.db._shard_locks[shard_id]
             with lock:
-                ctx = UnifiedQueryContext(self.db.shards[shard_id], self._copy_reads)
+                ctx = UnifiedQueryContext(self.db.shards[shard_id])
             self._ctx_locks[shard_id] = lock
             return ctx
         replica_set = sets[shard_id]
@@ -1362,13 +1357,13 @@ class ShardedQueryContext:
         if replica.db is self.db.shards[shard_id]:
             lock = self.db._shard_locks[shard_id]
             with lock:
-                ctx = UnifiedQueryContext(replica.db, self._copy_reads)
+                ctx = UnifiedQueryContext(replica.db)
             if self._token is not None:
                 self._token.observe(shard_id, replica.db.manager.current_ts)
         else:
             lock = replica_set._lock
             with lock:
-                ctx = UnifiedQueryContext(replica.db, self._copy_reads)
+                ctx = UnifiedQueryContext(replica.db)
             if self._token is not None:
                 self._token.observe(shard_id, replica.applied_ts)
         self._ctx_locks[shard_id] = lock

@@ -184,14 +184,9 @@ class Driver(abc.ABC):
         exact pre-instrumentation path.
         """
         return self._execute_on(
-            self._execution_context(), text, params, use_indexes, use_compiled,
+            self.query_context(), text, params, use_indexes, use_compiled,
             use_batches, use_fusion, batch_size,
         )
-
-    def _execution_context(self) -> QueryContext:
-        """The context :meth:`query` runs on; drivers whose executor may
-        read shared, uncopied state override it."""
-        return self.query_context()
 
     def _execute_on(
         self,

@@ -19,16 +19,17 @@ from repro.drivers.base import Driver
 class UnifiedQueryContext:
     """QueryContext over one read-only snapshot session.
 
-    With ``copy_reads=False`` the context hands out the engine's own
-    committed values instead of copies: the query engine only reads
-    them, and :meth:`~repro.query.executor.Executor.execute` copies the
-    rows it returns.  Contexts given to other callers keep copying.
+    The context hands out the engine's own committed values, not copies:
+    the query engine only reads them, and
+    :meth:`~repro.query.executor.Executor.execute` copies the rows it
+    returns.  A caller that iterates a context directly and keeps or
+    changes what it reads must copy it (``engine.records.copy_value``).
     """
 
-    def __init__(self, db: MultiModelDatabase, copy_reads: bool = True) -> None:
+    def __init__(self, db: MultiModelDatabase) -> None:
         self.db = db
         self.session: Session = db.begin(IsolationLevel.SNAPSHOT)
-        self.session.txn.copy_reads = copy_reads
+        self.session.txn.copy_reads = False
 
     def close(self) -> None:
         if self.session.txn.state.value == "active":
@@ -252,9 +253,6 @@ class UnifiedDriver(Driver):
 
     def query_context(self) -> UnifiedQueryContext:
         return UnifiedQueryContext(self.db)
-
-    def _execution_context(self) -> UnifiedQueryContext:
-        return UnifiedQueryContext(self.db, copy_reads=False)
 
     def catalog_epoch(self) -> int:
         return self.db.catalog_epoch

@@ -14,7 +14,6 @@ import enum
 from dataclasses import dataclass, field
 from typing import Any, NamedTuple
 
-from repro.models.document.document import deep_copy_json
 from repro.models.xml.node import XmlElement, XmlText
 
 
@@ -57,9 +56,15 @@ def copy_value(value: Any) -> Any:
     """Deep-copy a record value of any model.
 
     JSON-ish values are copied structurally; XML trees are rebuilt node by
-    node.  Copying on both write and read is what gives the engine its
-    immutability guarantee: no caller can mutate committed state in place.
+    node, also where they sit inside a dict or list (a query row such as
+    ``{"_id": ..., "root": tree}``).  Copying what enters and what leaves
+    the engine is what gives it its immutability guarantee: no caller can
+    mutate committed state in place.
     """
+    if isinstance(value, dict):
+        return {k: copy_value(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [copy_value(v) for v in value]
     if isinstance(value, XmlElement):
         return XmlElement(
             value.tag,
@@ -68,7 +73,7 @@ def copy_value(value: Any) -> Any:
         )
     if isinstance(value, XmlText):
         return XmlText(value.value)
-    return deep_copy_json(value)
+    return value
 
 
 @dataclass

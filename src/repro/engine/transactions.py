@@ -146,8 +146,8 @@ class Transaction:
         # Ordered write buffer: RecordKey -> new value (None = delete).
         self.write_set: dict[RecordKey, Any] = {}
         # Reads hand out copies of committed values by default.  A query
-        # snapshot that never mutates what it reads turns this off and
-        # copies only the results it returns (Executor.execute).
+        # snapshot (UnifiedQueryContext) never mutates what it reads, so
+        # it turns this off; Executor.execute copies the rows it returns.
         self.copy_reads = True
         self.commit_ts: int | None = None
         # Global (cross-shard) transaction id, set when this txn becomes

@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Any
 
-from repro.query.executor import Executor
+from repro.query.executor import Executor, owned_rows
 from repro.query.parser import parse
 from repro.query.physical import PhysicalOperator
 from repro.query.planner import plan
@@ -146,4 +146,4 @@ def explain_analyze(
     # counters don't exist", and the line's shape varied per query.
     stats = ", ".join(f"{k}={v}" for k, v in sorted(executor.stats.items()))
     lines.append(f"stats: {stats or 'none'}")
-    return "\n".join(lines), results
+    return "\n".join(lines), owned_rows(results)

@@ -162,10 +162,10 @@ class Executor:
         if prepared.binds:
             run_params.update(prepared.binds)
         if tracer is None:
-            return _owned(self._drain(prepared.plan.root, run_params))
+            return owned_rows(self._drain(prepared.plan.root, run_params))
         span = tracer.push("execute")
         try:
-            result = _owned(self._drain(prepared.plan.root, run_params))
+            result = owned_rows(self._drain(prepared.plan.root, run_params))
             span.attrs["rows"] = len(result)
         finally:
             tracer.pop()
@@ -307,7 +307,7 @@ def _truthy(value: Any) -> bool:
     return bool(value)
 
 
-def _owned(rows: list[Any]) -> list[Any]:
+def owned_rows(rows: list[Any]) -> list[Any]:
     """Copies of result rows: a query context may hand the executor the
     engine's own committed values, which callers must never mutate."""
     return [copy_value(row) for row in rows]

@@ -65,7 +65,15 @@ standard vectorized-engine trade, bounded by the batch size.  A hash
 build reads its whole inner side before the first probe, so an error
 raised *while reading* the inner side (a FOR source that is not a list)
 surfaces before errors of rows the nested loop would have emitted
-first.  Values and ordering are identical in all modes.
+first.  An :class:`IndexEqLookup` without a usable index binds, in
+batch mode, only the rows an index would have returned (its hash
+build), while the per-row engine re-scans the whole collection; a FILTER
+written *before* the indexed equality therefore sees only matching rows
+in batch mode, as it does in every mode when the index exists, and an
+error it would raise on a non-matching row surfaces only per-row.
+:class:`HashJoin` has no such case: the planner lowers a join only when
+its equality is the first FILTER after the block.  Values and ordering
+are identical in all modes.
 """
 
 from __future__ import annotations

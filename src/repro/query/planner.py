@@ -21,8 +21,8 @@ bindings through.  The contract:
    the context has no matching index, and the original predicates remain
    as residual filters, so over-approximating access paths stay correct.
 4. **Hash equi-join** — ``FOR x IN <collection> [FOR y IN x.path …]``
-   (or a FOR over a closed list expression) followed by ``FILTER inner
-   == outer`` lowers to one :class:`~repro.query.physical.HashJoin` when
+   (or a FOR over a closed list expression) whose first following
+   FILTER is ``inner == outer`` lowers to one :class:`~repro.query.physical.HashJoin` when
    the inner side reads only the block's own variables, the outer side
    reads only (at least one) already-bound variables, no block source
    reads an outer variable and the first FOR carries no index hint (an
@@ -653,22 +653,26 @@ def _match_hash_join(
         j += 1
     if block_vars & bound or len(block_vars) < len(block):
         return None  # shadowing: the residual FILTER's names would be ambiguous
-    while j < len(clauses) and isinstance(clauses[j], FilterClause):
-        condition = clauses[j].condition
-        if isinstance(condition, Binary) and condition.op == "==":
-            for inner, outer in (
-                (condition.left, condition.right),
-                (condition.right, condition.left),
-            ):
-                inner_reads = free_variables(inner)
-                outer_reads = free_variables(outer)
-                if (
-                    inner_reads and inner_reads <= block_vars
-                    and outer_reads and outer_reads <= bound
-                    and _is_cheap(inner) and _is_cheap(outer)
-                ):
-                    return block, inner, outer
-        j += 1
+    # Only the first FILTER: the loop evaluates an earlier one on every
+    # (outer, block) pair, the hash join only on matched pairs, so an
+    # earlier FILTER that raises on an unmatched pair would diverge.
+    if j == len(clauses) or not isinstance(clauses[j], FilterClause):
+        return None
+    condition = clauses[j].condition
+    if not isinstance(condition, Binary) or condition.op != "==":
+        return None
+    for inner, outer in (
+        (condition.left, condition.right),
+        (condition.right, condition.left),
+    ):
+        inner_reads = free_variables(inner)
+        outer_reads = free_variables(outer)
+        if (
+            inner_reads and inner_reads <= block_vars
+            and outer_reads and outer_reads <= bound
+            and _is_cheap(inner) and _is_cheap(outer)
+        ):
+            return block, inner, outer
     return None
 
 

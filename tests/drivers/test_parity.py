@@ -84,6 +84,42 @@ class TestResultOwnership:
         if shards is not None:
             driver.close()
 
+    @pytest.mark.parametrize("shards", [None, 2], ids=["unified", "sharded"])
+    def test_mutating_xml_results_leaves_the_store_and_wal_intact(
+        self, small_dataset, shards
+    ):
+        """XML trees nested in result rows are copies too: the committed
+        tree is also the WAL record's value, so mutating it would change
+        every snapshot and fail the record's checksum."""
+        from repro.cluster.sharded import ShardedDatabase
+        from repro.datagen.load import load_dataset
+
+        driver = UnifiedDriver() if shards is None else ShardedDatabase(n_shards=shards)
+        load_dataset(driver, small_dataset)
+        order_id = small_dataset.orders[0]["_id"]
+        scan = "FOR d IN invoices SORT d._id RETURN d"
+        lines = (
+            "FOR d IN invoices SORT d._id "
+            "RETURN {id: d._id, lines: XPATH(d.root, '/invoice/lines/line')}"
+        )
+        get = "RETURN {inv: XMLGET('invoices', @id)}"
+        before = [repr(driver.query(scan)), repr(driver.query(lines)),
+                  repr(driver.query(get, {"id": order_id}))]
+        assert all(row["lines"] for row in driver.query(lines))
+        for row in driver.query(scan):
+            row["root"].attributes["id"] = "mutated"
+            row["root"].children.clear()
+        for row in driver.query(lines):
+            for line in row["lines"]:
+                line.children.clear()
+        driver.query(get, {"id": order_id})[0]["inv"].children.clear()
+        assert [repr(driver.query(scan)), repr(driver.query(lines)),
+                repr(driver.query(get, {"id": order_id}))] == before
+        dbs = [driver.db] if shards is None else driver.shards
+        assert all(db.wal.first_corrupt() is None for db in dbs)
+        if shards is not None:
+            driver.close()
+
 
 class TestTransactionParity:
     def body(self, order_id: str):

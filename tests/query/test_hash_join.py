@@ -209,6 +209,65 @@ class TestEqualitySemantics:
         assert got == repr([[[0, 7], [1, 7], [2, 7], [14, 8]]])
 
 
+class _IndexedTables(_Tables):
+    """_Tables with a working equality index on every field."""
+
+    def index_lookup(self, collection, field, value):
+        return [d for d in self.collections[collection] if d.get(field) == value]
+
+
+# rhs row 2 matches no lhs key, and `.z` on its string name raises.
+FILTER_ORDER = _Tables(
+    lhs=[{"_id": 1, "k": 1}],
+    rhs=[
+        {"_id": 1, "k": 1, "name": {"z": 1},
+         "items": [{"k": 1, "name": {"z": 1}}, {"k": 2, "name": "bare"}]},
+        {"_id": 2, "k": 2, "name": "bare", "items": []},
+    ],
+)
+
+
+class TestFilterOrder:
+    def test_join_equality_after_another_filter_stays_a_nested_loop(self):
+        """The loop runs an earlier FILTER on every (outer, block) pair; a
+        hash join would run it only on matched pairs, so an earlier FILTER
+        that raises on an unmatched pair would raise only per-row."""
+        text = (
+            "FOR l IN lhs FOR r IN rhs FOR it IN r.items "
+            "FILTER it.name.z == 1 FILTER it.k == l.k RETURN [l._id, r._id]"
+        )
+        assert "HashJoin" not in plan(parse(text)).describe()
+        for flags in EXECUTION_MODES.values():
+            with pytest.raises(ExecutionError, match=r"\.z on str"):
+                Executor(FILTER_ORDER, **flags).execute(text)
+        first = (
+            "FOR l IN lhs FOR r IN rhs FOR it IN r.items "
+            "FILTER it.k == l.k FILTER it.name.z == 1 RETURN [l._id, r._id]"
+        )
+        assert "HashJoin r, it" in plan(parse(first)).describe()
+        assert _assert_modes_agree(FILTER_ORDER, first) == repr([[1, 1]])
+
+    def test_index_fallback_binds_what_an_index_would(self):
+        """The documented caveat: without a usable index the batch prober
+        binds only matching rows, like a real index does in every mode,
+        while the per-row engine re-scans and runs the earlier FILTER on
+        every row."""
+        text = (
+            "FOR l IN lhs FOR r IN rhs FILTER r.name.z > 0 "
+            "FILTER r.k == l.k RETURN [l._id, r._id]"
+        )
+        assert "IndexEqLookup [index: rhs.k == l.k]" in plan(parse(text)).describe()
+        indexed = _IndexedTables(**FILTER_ORDER.collections)
+        assert _assert_modes_agree(indexed, text) == repr([[1, 1]])
+        for mode, flags in EXECUTION_MODES.items():
+            executor = Executor(FILTER_ORDER, **flags)
+            if flags.get("use_batches", True):
+                assert executor.execute(text) == [[1, 1]], mode
+            else:
+                with pytest.raises(ExecutionError, match=r"\.z on str"):
+                    executor.execute(text)
+
+
 @pytest.fixture(scope="module")
 def stores():
     """Every key in a real store, with and without an index on rhs.k."""
